@@ -14,6 +14,7 @@ from .digraph import (
     digraph_to_json_dict,
     from_reduced_laplacian,
     full_laplacian,
+    laplacian_kernel,
     random_digraph,
     reduced_laplacian,
     source_components,
@@ -50,12 +51,14 @@ from .errors import (
     StrongPositivityPostCheckError,
 )
 from .linalg import (
+    det_adj,
     determinant,
     inverse,
     is_integral,
     rank_and_kernel,
     rational_to_str,
     solve_left,
+    times_adj,
 )
 from .oracle import (
     CrossCheckReport,

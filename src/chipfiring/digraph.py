@@ -15,11 +15,12 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     ArcFromSinkError,
     BadMultiplicityError,
+    InvariantViolationError,
     LoopArcError,
     NotLaplacianShapedError,
     SinkUnreachableError,
 )
-from .linalg import IntMatrix, freeze_matrix
+from .linalg import IntMatrix, det_adj, freeze_matrix
 
 ArcTriple = tuple[int, int, int]  # (from, to, multiplicity)
 
@@ -148,6 +149,20 @@ def _check_sink_reachable(g: Digraph) -> None:
 def reduced_laplacian(g: Digraph) -> IntMatrix:
     """The n x n Laplacian with the sink row and column removed."""
     return g.reduced_laplacian_rows
+
+
+def laplacian_kernel(g: Digraph) -> tuple[int, IntMatrix]:
+    """``(det L, adj L)`` of the reduced Laplacian, the adjugate by columns.
+
+    ``c @ L^-1`` is ``times_adj(c, adj) / det``. By the matrix-tree theorem
+    det L counts the spanning trees into the sink, so it is positive on every
+    global-sink graph; comparisons of scaled energies rely on that, and a
+    non-positive value raises InvariantViolationError.
+    """
+    det, adj = det_adj(g.reduced_laplacian_rows)
+    if det <= 0:
+        raise InvariantViolationError(f"reduced Laplacian has determinant {det}, expected > 0")
+    return det, adj
 
 
 def full_laplacian(g: Digraph) -> IntMatrix:

@@ -36,9 +36,11 @@ def is_stable(g: Digraph, config: Sequence[int]) -> bool:
     return all(x < d for x, d in zip(config, g.out_degrees, strict=True))
 
 
-def active_vertices(g: Digraph, config: Sequence[int]) -> list[int]:
-    """1-based ids of the vertices holding at least their out-degree."""
-    return [i + 1 for i, (x, d) in enumerate(zip(config, g.out_degrees, strict=True)) if x >= d]
+def require_nonnegative(config: Sequence[int]) -> None:
+    """Raise NegativeInputError naming the first negative entry, if any."""
+    bad = next((i for i, x in enumerate(config) if x < 0), None)
+    if bad is not None:
+        raise NegativeInputError(f"negative entry {config[bad]} at vertex {bad + 1}")
 
 
 def apply_script(g: Digraph, config: Sequence[int], script: Sequence[int]) -> IntVector:
@@ -89,9 +91,7 @@ def stabilize(g: Digraph, config: Sequence[int]) -> StabilizationResult:
 
     Raises NegativeInputError when the input has a negative entry.
     """
-    bad = next((i for i, x in enumerate(config) if x < 0), None)
-    if bad is not None:
-        raise NegativeInputError(f"negative entry {config[bad]} at vertex {bad + 1}")
+    require_nonnegative(config)
     stable, script, _ = _drive(g, config, budget=None)
     return StabilizationResult(stable, script)
 
@@ -138,9 +138,7 @@ def stabilize_random_policy(g: Digraph, config: Sequence[int], rng: random.Rando
     Validation helper for the abelian property: must agree with
     :func:`stabilize` on every non-negative input.
     """
-    bad = next((i for i, x in enumerate(config) if x < 0), None)
-    if bad is not None:
-        raise NegativeInputError(f"negative entry {config[bad]} at vertex {bad + 1}")
+    require_nonnegative(config)
     degs = g.out_degrees
     rows = g.reduced_laplacian_rows
     n = g.n

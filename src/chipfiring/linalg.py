@@ -1,17 +1,24 @@
-"""Exact integer and rational linear algebra.
+"""Exact linear algebra around one cached integer kernel.
 
-All arithmetic uses Python's arbitrary-precision ints and
-``fractions.Fraction``; no floating point anywhere. Matrices are tuples of
-row tuples, vectors are flat tuples, so everything is hashable and results
-can be memoized per matrix. Vectors are row vectors throughout: products
-are taken as ``v @ m``.
+Arithmetic uses Python's arbitrary-precision ints, and
+``fractions.Fraction`` where a result is rational; no floating point
+anywhere. Matrices are tuples of row tuples, vectors are flat tuples,
+so everything is hashable and results can be memoized per matrix. Vectors
+are row vectors throughout: products are taken as ``v @ m``.
+
+The kernel :func:`det_adj` returns ``(det m, adj m)`` by fraction-free
+Gauss-Jordan elimination, so ``v @ m^-1`` is the integer vector
+``v @ adj m`` over ``det m``. Callers work with the scaled integers and
+render ``fractions.Fraction`` only at the API edge (:func:`inverse`,
+:func:`solve_left`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import SingularMatrixError
 
@@ -44,10 +51,6 @@ def vec_sub(a: Sequence[int], b: Sequence[int]) -> IntVector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(k: int, a: Sequence[int]) -> IntVector:
-    return tuple(k * x for x in a)
-
-
 def weight(a: Sequence[int]) -> int:
     """Sum of all entries."""
     return sum(a)
@@ -56,11 +59,6 @@ def weight(a: Sequence[int]) -> int:
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     """Containment order: every entry of ``a`` is >= the entry of ``b``."""
     return all(x >= y for x, y in zip(a, b, strict=True))
-
-
-def strictly_dominates(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Containment order with at least one strict coordinate."""
-    return dominates(a, b) and tuple(a) != tuple(b)
 
 
 def support(a: Sequence[int]) -> frozenset[int]:
@@ -79,83 +77,83 @@ def row_times_matrix(v: Sequence, m: Sequence[Sequence]) -> tuple:
 
 def freeze_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     """Normalize any nested sequence of ints into the canonical tuple form."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    out = tuple(tuple(map(int, row)) for row in rows)
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
 
 
 # ---------------------------------------------------------------------------
-# determinant, inverse, solves
+# the (det, adj) kernel and its Fraction views
+
+@lru_cache(maxsize=32)
+def det_adj(m: IntMatrix) -> tuple[int, Optional[IntMatrix]]:
+    """Exact ``(det m, adj m)`` of a square integer matrix in canonical form.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[m | I]``: every
+    division is exact, and at the end the left block is ``p * I`` and the
+    right block ``p * m^-1``, where ``p`` is the last pivot and equals
+    ``det m`` up to the sign of the row swaps. Pivots are the first non-zero
+    entry by row order. A missing pivot means ``m`` is singular, reported as
+    ``(0, None)``.
+
+    The adjugate is returned by columns, so that ``v @ adj m`` is one dot
+    product per column (:func:`times_adj`). Results are cached for the 32
+    most recently used matrices.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("expected a square matrix")
+    # row i holds the columns k.. of the left block, then the right block
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][0]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot, *rest = a[k]
+        for i in range(n):
+            if i != k:
+                f, *row = a[i]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, rest)]
+        a[k] = rest
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * row[j] for row in a) for j in range(n))
+
+
+def times_adj(v: Sequence, adj_columns: IntMatrix) -> tuple:
+    """``v @ adj`` for an adjugate stored by columns, as :func:`det_adj` returns it."""
+    return tuple(sum(map(mul, v, col)) for col in adj_columns)
+
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant, read from the cached kernel; 0 for a singular matrix."""
+    return det_adj(freeze_matrix(m))[0]
 
-    Pivoting is deterministic: the first non-zero pivot by row order.
-    """
-    a = [list(row) for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+
+def _invertible_kernel(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    det, adj = det_adj(freeze_matrix(m))
+    if adj is None:
+        raise SingularMatrixError("matrix is singular")
+    return det, adj
 
 
 def inverse(m: Sequence[Sequence[int]]) -> RationalMatrix:
-    """Exact inverse as a matrix of Fractions.
+    """Exact inverse as a matrix of Fractions, ``adj m / det m``.
 
-    Raises SingularMatrixError when no inverse exists. Results are cached
-    per matrix, so repeated solves against the same Laplacian are cheap.
+    Raises SingularMatrixError when no inverse exists.
     """
-    return _inverse_cached(freeze_matrix(m))
-
-
-@lru_cache(maxsize=None)
-def _inverse_cached(m: IntMatrix) -> RationalMatrix:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    det, adj = _invertible_kernel(m)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in zip(*adj))
 
 
 def solve_left(v: Sequence, m: Sequence[Sequence[int]]) -> RationalVector:
     """Solve ``x @ m = v`` exactly for the row vector x."""
-    x = row_times_matrix(tuple(Fraction(e) for e in v), inverse(m))
-    return tuple(Fraction(e) for e in x)
+    det, adj = _invertible_kernel(m)
+    return tuple(Fraction(x, det) for x in times_adj(v, adj))
 
 
 def is_integral(v: Sequence) -> bool:

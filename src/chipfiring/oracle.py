@@ -2,7 +2,8 @@
 
 Everything here re-derives verdicts from definitions by exhaustive search,
 sharing as little machinery with the primary recognizers as possible (only
-``apply_script`` and ``is_stable``, plus the exact-arithmetic substrate).
+``apply_script`` and ``is_stable``, plus the exact-arithmetic substrate,
+whose (det, adj) kernel :func:`cross_check` verifies on every graph).
 Agreement between these oracles and the primary routes on small graphs is
 the package's main line of defense.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, laplacian_kernel
 from .dynamics import (
     DEFAULT_ENUMERATION_CAP,
     apply_script,
@@ -27,13 +28,7 @@ from .errors import (
     NotStableError,
     SearchBoundExceededError,
 )
-from .linalg import (
-    IntVector,
-    inverse,
-    is_integral,
-    row_times_matrix,
-    vec_sub,
-)
+from .linalg import IntVector, dominates, times_adj, vec_sub
 from .recognition import is_critical_bounded, is_critical_fixpoint, is_superstable
 from .scripts import is_g_strongly_positive, minimum_strong_script, strong_script_from_inverse
 
@@ -61,15 +56,6 @@ def determinant_cofactor(m: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _energy(g: Digraph, config: Sequence[int]):
-    return row_times_matrix(tuple(config), inverse(g.reduced_laplacian_rows))
-
-
-def _equivalent(g: Digraph, a: Sequence[int], b: Sequence[int]) -> bool:
-    diff = vec_sub(tuple(a), tuple(b))
-    return is_integral(row_times_matrix(diff, inverse(g.reduced_laplacian_rows)))
-
-
 def oracle_critical_energy_max(
     g: Digraph, config: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
@@ -82,11 +68,12 @@ def oracle_critical_energy_max(
     start = tuple(config)
     if not is_stable(g, start):
         raise NotStableError(f"configuration {start} has an active vertex")
-    own = _energy(g, start)
+    # energies scaled by det L > 0: same order, equivalent iff congruent mod det
+    det, adj = laplacian_kernel(g)
+    own = times_adj(start, adj)
     for other in enumerate_stable(g, cap):
-        if not _equivalent(g, start, other):
-            continue
-        if not all(x <= y for x, y in zip(_energy(g, other), own)):
+        energy = times_adj(other, adj)
+        if all((x - y) % det == 0 for x, y in zip(energy, own)) and not dominates(own, energy):
             return False
     return True
 
@@ -229,10 +216,11 @@ def cross_check(g: Digraph, cap: int = DEFAULT_ENUMERATION_CAP) -> CrossCheckRep
     """Run every criticality route on every stable configuration.
 
     The four routes are: the fixpoint test, the bounded box test, the
-    energy-maximum characterization (computed here from scratch), and
-    superstability of the complement. Any disagreement is reported with
-    full evidence; the minimum-script greedy is checked against the
-    brute-force search as well.
+    energy-maximum characterization (computed here from scratch, on
+    energies scaled by det L), and superstability of the complement. Any
+    disagreement is reported with full evidence; the minimum-script greedy
+    is checked against the brute-force search as well, and the (det, adj)
+    kernel against ``adj @ L == det * I`` and the class count ``det L``.
     """
     smin = minimum_strong_script(g)
     try:
@@ -247,26 +235,25 @@ def cross_check(g: Digraph, cap: int = DEFAULT_ENUMERATION_CAP) -> CrossCheckRep
             {"kind": "sigma_min", "greedy": list(smin), "oracle": list(oracle_smin)}
         )
 
+    # energies scaled by det L, the kernel checked by its defining identity
+    det, adj = laplacian_kernel(g)
+    lap = g.reduced_laplacian_rows
+    if any(times_adj(row, adj) != tuple(det * (i == j) for j in range(g.n)) for i, row in enumerate(lap)):
+        disagreements.append({"kind": "kernel", "det": det, "laplacian": [list(r) for r in lap]})
     stables = list(enumerate_stable(g, cap))
-    inv = inverse(g.reduced_laplacian_rows)
-    energies = {s: row_times_matrix(s, inv) for s in stables}
+    energies = {s: times_adj(s, adj) for s in stables}
 
-    # group into classes by the fractional part of the energy vector
+    # group into classes by the energy vector modulo det L (its fractional part)
     classes: dict[tuple, list[IntVector]] = {}
     for s in stables:
-        key = tuple(x % 1 for x in energies[s])
+        key = tuple(x % det for x in energies[s])
         classes.setdefault(key, []).append(s)
+    if len(classes) != det:
+        disagreements.append({"kind": "class_count", "classes": len(classes), "det": det})
 
     energy_max: dict[IntVector, bool] = {}
     for members in classes.values():
-        maxima = [
-            m
-            for m in members
-            if all(
-                all(x <= y for x, y in zip(energies[t], energies[m]))
-                for t in members
-            )
-        ]
+        maxima = [m for m in members if all(dominates(energies[m], energies[t]) for t in members)]
         if len(maxima) != 1:
             disagreements.append(
                 {

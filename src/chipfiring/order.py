@@ -6,29 +6,36 @@ order on all configurations. Within each linear-equivalence class of stable
 configurations the critical member is the unique maximum and the superstable
 member the unique minimum of that order. Whether the order is total on each
 class is an open question this module gathers evidence for.
+
+Energies are computed as the integer vector ``c @ adj L``, which is
+``det L`` times the energy, from the cached kernel
+:func:`~chipfiring.digraph.laplacian_kernel`. Since ``det L > 0``, scaled
+vectors compare exactly as energies do, and two configurations are
+equivalent iff their scaled vectors agree modulo ``det L``. Fractions
+appear only in the values handed back to callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, laplacian_kernel
 from .dynamics import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_stable,
     is_stable,
+    require_nonnegative,
     stabilize,
 )
-from .errors import InvariantViolationError, NegativeInputError, NotStableError
+from .errors import InvariantViolationError, NotStableError
 from .linalg import (
     IntVector,
     RationalVector,
-    determinant,
-    inverse,
-    is_integral,
+    dominates,
     rational_to_str,
-    row_times_matrix,
+    times_adj,
     vec_add,
     vec_sub,
     weight,
@@ -44,19 +51,13 @@ INCOMPARABLE = "incomparable"
 
 def energy_vector(g: Digraph, config: Sequence[int]) -> RationalVector:
     """Exact energy vector: the configuration times the inverse Laplacian."""
-    return row_times_matrix(tuple(config), inverse(g.reduced_laplacian_rows))
+    det, adj = laplacian_kernel(g)
+    return tuple(Fraction(x, det) for x in times_adj(config, adj))
 
 
-def cfg_compare(g: Digraph, a: Sequence[int], b: Sequence[int]) -> str:
-    """Compare two configurations in the energy order.
-
-    Returns one of "less", "equal", "greater", "incomparable". Works on
-    arbitrary integer configurations, equivalent or not.
-    """
-    ea = energy_vector(g, a)
-    eb = energy_vector(g, b)
-    le = all(x <= y for x, y in zip(ea, eb))
-    ge = all(x >= y for x, y in zip(ea, eb))
+def _compare(ea: Sequence[int], eb: Sequence[int]) -> str:
+    """The energy order on two energy vectors, exact or scaled by det L."""
+    le, ge = dominates(eb, ea), dominates(ea, eb)
     if le and ge:
         return EQUAL
     if le:
@@ -66,11 +67,21 @@ def cfg_compare(g: Digraph, a: Sequence[int], b: Sequence[int]) -> str:
     return INCOMPARABLE
 
 
+def cfg_compare(g: Digraph, a: Sequence[int], b: Sequence[int]) -> str:
+    """Compare two configurations in the energy order.
+
+    Returns one of "less", "equal", "greater", "incomparable". Works on
+    arbitrary integer configurations, equivalent or not.
+    """
+    _, adj = laplacian_kernel(g)
+    return _compare(times_adj(a, adj), times_adj(b, adj))
+
+
 def are_equivalent(g: Digraph, a: Sequence[int], b: Sequence[int]) -> bool:
     """Linear equivalence: the difference is an integer row combination of
     the reduced Laplacian."""
-    diff = vec_sub(tuple(a), tuple(b))
-    return is_integral(row_times_matrix(diff, inverse(g.reduced_laplacian_rows)))
+    det, adj = laplacian_kernel(g)
+    return all(x % det == 0 for x in times_adj(vec_sub(tuple(a), tuple(b)), adj))
 
 
 @dataclass(frozen=True)
@@ -132,20 +143,20 @@ def partition_classes(g: Digraph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Cl
     for stable in enumerate_stable(g, cap):
         groups.setdefault(representative_of(stable), []).append(stable)
 
-    expected = determinant(g.reduced_laplacian_rows)
-    if len(groups) != expected:
+    det, adj = laplacian_kernel(g)
+    if len(groups) != det:
         raise InvariantViolationError(
             f"found {len(groups)} classes of stable configurations, "
-            f"the group order says {expected}"
+            f"the group order says {det}"
         )
 
     reports = []
     for rep in sorted(groups):
         members = groups[rep]
-        energies = {m: energy_vector(g, m) for m in members}
-        total = _is_total(energies)
+        scaled = {m: times_adj(m, adj) for m in members}
+        total = _first_incomparable(members, scaled) is None
         if total:
-            members = sorted(members, key=lambda m: energies[m])
+            members = sorted(members, key=scaled.__getitem__)
         superstable = next((m for m in members if is_superstable(g, m)[0]), None)
         if superstable is None:
             raise InvariantViolationError(f"class of {rep} has no superstable member")
@@ -157,30 +168,17 @@ def partition_classes(g: Digraph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Cl
                 superstable=superstable,
                 weights=tuple(weight(m) for m in members),
                 is_total_order=total,
-                energies=tuple(energies[m] for m in members),
+                energies=tuple(tuple(Fraction(x, det) for x in scaled[m]) for m in members),
             )
         )
     return reports
 
 
-def _is_total(energies: dict) -> bool:
-    items = list(energies.values())
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            le = all(x <= y for x, y in zip(items[i], items[j]))
-            ge = all(x >= y for x, y in zip(items[i], items[j]))
-            if not (le or ge):
-                return False
-    return True
-
-
 def _first_incomparable(members, energies) -> Optional[tuple[IntVector, IntVector]]:
+    """The first pair of members, in order, whose energies are incomparable."""
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            ei, ej = energies[members[i]], energies[members[j]]
-            le = all(x <= y for x, y in zip(ei, ej))
-            ge = all(x >= y for x, y in zip(ei, ej))
-            if not (le or ge):
+            if _compare(energies[members[i]], energies[members[j]]) == INCOMPARABLE:
                 return members[i], members[j]
     return None
 
@@ -193,9 +191,7 @@ def linseq_chain(g: Digraph, config: Sequence[int]) -> list[IntVector]:
     is energy-greater-or-equal than the previous.
     """
     start = tuple(config)
-    bad = next((i for i, x in enumerate(start) if x < 0), None)
-    if bad is not None:
-        raise NegativeInputError(f"negative entry {start[bad]} at vertex {bad + 1}")
+    require_nonnegative(start)
     if not is_stable(g, start):
         raise NotStableError(f"configuration {start} has an active vertex")
     lift = script_image(g, minimum_strong_script(g))

@@ -21,21 +21,12 @@ from .dynamics import (
     c_max,
     enumerate_stable,
     is_stable,
+    require_nonnegative,
     stabilize,
 )
-from .errors import (
-    InvariantViolationError,
-    NegativeInputError,
-    NotStableError,
-)
+from .errors import InvariantViolationError, NotStableError
 from .linalg import IntVector, vec_add, vec_sub
 from .scripts import minimum_strong_script, script_image
-
-
-def _require_nonnegative(config: Sequence[int]) -> None:
-    bad = next((i for i, x in enumerate(config) if x < 0), None)
-    if bad is not None:
-        raise NegativeInputError(f"negative entry {config[bad]} at vertex {bad + 1}")
 
 
 def _require_stable(g: Digraph, config: Sequence[int]) -> None:
@@ -63,7 +54,7 @@ def is_critical_fixpoint(g: Digraph, config: Sequence[int]) -> tuple[bool, IntVe
     must equal the minimum script exactly; a mismatch is an invariant
     violation, not a verdict.
     """
-    _require_nonnegative(config)
+    require_nonnegative(config)
     _require_stable(g, config)
     min_script = minimum_strong_script(g)
     lifted = vec_add(config, script_image(g, min_script))
@@ -90,7 +81,7 @@ def is_critical_bounded(g: Digraph, config: Sequence[int]) -> tuple[bool, Option
     the only witness (there are graphs where this happens, so excluding it
     would wrongly certify criticality).
     """
-    _require_nonnegative(config)
+    require_nonnegative(config)
     _require_stable(g, config)
     min_script = minimum_strong_script(g)
     for witness in _box(min_script, include_top=True):
@@ -114,7 +105,7 @@ def is_superstable(g: Digraph, config: Sequence[int]) -> tuple[bool, Optional[In
     (The two routes only coincide on stable inputs: an unstable input is
     always unmasked by a unit script, but that image need not be stable.)
     """
-    _require_nonnegative(config)
+    require_nonnegative(config)
     min_script = minimum_strong_script(g)
     cross_check = is_stable(g, config)
     witness = None
@@ -142,7 +133,7 @@ def critical_representative(g: Digraph, config: Sequence[int]) -> IntVector:
     Iterates reverse-fire-the-minimum-script-then-stabilize until the
     sequence repeats; the fixpoint is the class's critical configuration.
     """
-    _require_nonnegative(config)
+    require_nonnegative(config)
     min_script = minimum_strong_script(g)
     lift = script_image(g, min_script)
     current = tuple(config)
@@ -165,7 +156,7 @@ def superstable_representative(
     """
     from .order import are_equivalent  # local import: order builds on this module
 
-    _require_nonnegative(config)
+    require_nonnegative(config)
     top = c_max(g)
     for stable in enumerate_stable(g, cap):
         verdict, _ = is_critical_fixpoint(g, stable)

@@ -12,17 +12,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .digraph import Digraph, source_components
-from .errors import NegativeScriptError, StrongPositivityPostCheckError
-from .linalg import (
-    IntVector,
-    determinant,
-    inverse,
-    ones,
-    row_times_matrix,
-    support,
-    vec,
-)
+from .digraph import Digraph, laplacian_kernel, source_components
+from .errors import InvariantViolationError, NegativeScriptError, StrongPositivityPostCheckError
+from .linalg import IntVector, ones, row_times_matrix, support, vec
+
+# graphs whose per-graph scripts stay memoized; bounded so that a long fuzz
+# campaign cannot grow the caches without limit
+GRAPH_CACHE_SIZE = 256
 
 
 def _require_nonnegative(script: Sequence[int]) -> None:
@@ -86,7 +82,7 @@ def greedy_script_steps(g: Digraph) -> list[tuple[IntVector, IntVector]]:
         steps.append((vec(script), vec(image)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def minimum_strong_script(g: Digraph) -> IntVector:
     """The containment-minimum strongly positive script.
 
@@ -103,7 +99,7 @@ def minimum_strong_script(g: Digraph) -> IntVector:
     return script
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def strong_script_from_inverse(g: Digraph) -> IntVector:
     """A strongly positive script built from the inverse reduced Laplacian.
 
@@ -111,13 +107,10 @@ def strong_script_from_inverse(g: Digraph) -> IntVector:
     inverse; that is the column-sum vector of the adjugate, an integer
     script whose image is constant det everywhere, hence strongly positive.
     """
-    lap = g.reduced_laplacian_rows
-    det = determinant(lap)
-    inv = inverse(lap)
-    entries = [det * sum(inv[i][j] for i in range(g.n)) for j in range(g.n)]
-    assert all(e.denominator == 1 for e in entries), entries
-    script = vec(int(e) for e in entries)
-    assert is_g_strongly_positive(g, script)
+    _, adj = laplacian_kernel(g)
+    script = tuple(sum(col) for col in adj)
+    if not is_g_strongly_positive(g, script):
+        raise InvariantViolationError(f"adjugate column sums {script} are not strongly positive")
     return script
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import chipfiring.oracle
 from chipfiring import (
     EnumerationCapExceededError,
     NotStableError,
@@ -8,6 +9,7 @@ from chipfiring import (
     oracle_critical_energy_max,
     oracle_min_strong_script,
     oracle_superstable_box,
+    laplacian_kernel,
     random_digraph,
     reduced_laplacian,
 )
@@ -58,6 +60,14 @@ def test_cross_check_reference_graphs(g1, g2, g3):
         assert report.stable_checked == expected_stable
         assert report.sigma_min == report.oracle_sigma_min
         assert report.disagreements == ()
+
+
+def test_cross_check_reports_a_wrong_kernel(g2, monkeypatch):
+    det, adj = laplacian_kernel(g2)
+    monkeypatch.setattr(chipfiring.oracle, "laplacian_kernel", lambda g: (2 * det, adj))
+    report = cross_check(g2)
+    assert not report.ok
+    assert {"kernel", "class_count"} <= {d["kind"] for d in report.disagreements}
 
 
 def test_cross_check_fuzzed_graphs():

@@ -11,6 +11,7 @@ from chipfiring import (
     INCOMPARABLE,
     LESS,
     NotStableError,
+    apply_script,
     are_equivalent,
     cfg_compare,
     conjecture_scan,
@@ -18,6 +19,8 @@ from chipfiring import (
     energy_vector,
     linseq_chain,
     partition_classes,
+    random_digraph,
+    reduced_laplacian,
     solve_left,
     stabilize,
 )
@@ -203,3 +206,44 @@ def test_stabilization_never_raises_energy(g2):
         config = tuple(rng.randint(0, 10) for _ in range(4))
         stable, _ = stabilize(g2, config)
         assert cfg_compare(g2, config, stable) in (GREATER, EQUAL)
+
+
+def _fraction_inverse(m):
+    """Gauss-Jordan inverse over Fractions, independent of the package kernel."""
+    n = len(m)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        p = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[p] = a[p], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compare_and_equivalence_agree_with_fractions(seed):
+    rng = random.Random(seed)
+    g = random_digraph(rng.randint(2, 7), rng.randint(1, 3), seed)
+    inv = _fraction_inverse(reduced_laplacian(g))
+
+    def energy(c):
+        return [sum(x * row[j] for x, row in zip(c, inv)) for j in range(g.n)]
+
+    def order(ea, eb):
+        le = all(x <= y for x, y in zip(ea, eb))
+        ge = all(x >= y for x, y in zip(ea, eb))
+        return EQUAL if le and ge else LESS if le else GREATER if ge else INCOMPARABLE
+
+    configs = [tuple(rng.randint(-3, d + 2) for d in g.out_degrees) for _ in range(12)]
+    # equivalent by construction: fire an integer script from a config
+    for c in configs[:4]:
+        configs.append(apply_script(g, c, [rng.randint(-2, 2) for _ in range(g.n)]))
+    for a in configs:
+        assert energy_vector(g, a) == tuple(energy(a))
+        for b in configs:
+            diff = energy([x - y for x, y in zip(a, b)])
+            assert are_equivalent(g, a, b) == all(x.denominator == 1 for x in diff)
+            assert cfg_compare(g, a, b) == order(energy(a), energy(b))

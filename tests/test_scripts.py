@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+import chipfiring.scripts
 from chipfiring import (
+    InvariantViolationError,
     NegativeScriptError,
+    build_digraph,
     greedy_script_steps,
     is_g_positive,
     is_g_strongly_positive,
@@ -73,6 +76,14 @@ def test_strong_script_from_inverse(g1, g2, g3):
     assert script_image(g2, (12, 42, 30, 30)) == (18, 18, 18, 18)
     assert strong_script_from_inverse(g3) == (11, 4)
     assert script_image(g3, (11, 4)) == (2, 2)
+
+
+def test_strong_script_from_inverse_post_check_raises(monkeypatch):
+    # a kernel whose column sums are not strongly positive must not pass
+    monkeypatch.setattr(chipfiring.scripts, "laplacian_kernel", lambda g: (1, ((0,),)))
+    strong_script_from_inverse.cache_clear()
+    with pytest.raises(InvariantViolationError):
+        strong_script_from_inverse(build_digraph(1, 2, [(1, 2, 3)]))
 
 
 def test_scaling_preserves_strong_positivity(g2, g3):
